@@ -398,6 +398,30 @@ func TestRunJSONSchema(t *testing.T) {
 	}
 }
 
+// TestRunFixpointLatency: max-consensus under the synchronous schedule on
+// a 10⁴-node preferential-attachment graph stabilises within a few steps,
+// and the async executor reports the fixpoint then — well inside a
+// 200-step budget on a graph with n ≫ 200.
+func TestRunFixpointLatency(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-alg", "max-consensus", "-graph", "pa:10000,3,1",
+		"-executor", "async", "-max-rounds", "200", "-json"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	var obj struct {
+		Rounds   int `json:"rounds"`
+		Schedule struct {
+			Fixpoint bool `json:"fixpoint"`
+		} `json:"schedule"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &obj); err != nil {
+		t.Fatal(err)
+	}
+	if !obj.Schedule.Fixpoint {
+		t.Fatalf("no fixpoint reported (rounds=%d)", obj.Rounds)
+	}
+}
+
 // TestRunJSONSeqOmitsAsyncBlocks: without async or faults the optional
 // blocks are absent, not null, and the formula block appears only with
 // -formula (whose text banner -json suppresses).

@@ -5,7 +5,7 @@
 //
 // The engine journals every node activation, every delivery the fault
 // plan interfered with (drop/dup/corrupt), every crash, recovery,
-// retransmission and partition heal, and every fixpoint probe, as
+// retransmission and partition heal, and the detected fixpoint, as
 // fixed-width records folded at the same barriers as the engine's
 // counters. The serialized JSONL stream is deterministic: one shard or
 // eight, GOMAXPROCS 1 or 32, the same seeded run serializes to the same
@@ -34,7 +34,7 @@ func main() {
 	// A 6x6 torus running max-degree gossip under a partition plan: a
 	// seeded island is cut off (its deliveries become correlated drops),
 	// the cut heals at the horizon, and the gossip floods back across the
-	// restored links until the fixpoint probe finally says "steady".
+	// restored links until the fixpoint detector finally says "steady".
 	g := graph.Torus(6, 6)
 	p := port.Canonical(g)
 	m := algorithms.MaxConsensus(g.MaxDegree())
@@ -89,22 +89,16 @@ func main() {
 		}
 	}
 
-	// Tail the interesting part: the heal record and the first probe after
-	// it — the moment the partition ended and the first time the engine
-	// asked "is this steady now?".
-	fmt.Println("\nthe heal and the probes around it:")
-	var healStep int64
+	// Tail the interesting part: the heal record and the fixpoint record
+	// after it — the moment the partition ended and the first step at
+	// which the run could no longer change.
+	fmt.Println("\nthe heal and the fixpoint after it:")
 	for _, e := range collect.Events {
-		if e.Kind == obs.KindHeal {
-			healStep = e.Step
+		switch e.Kind {
+		case obs.KindHeal:
 			fmt.Printf("  step %-6d heal: %d links restored\n", e.Step, e.Arg)
-		}
-		if e.Kind == obs.KindProbe && healStep > 0 {
-			verdict := "not yet steady"
-			if e.Arg == 1 {
-				verdict = "global fixpoint"
-			}
-			fmt.Printf("  step %-6d probe: %s\n", e.Step, verdict)
+		case obs.KindProbe:
+			fmt.Printf("  step %-6d probe: global fixpoint\n", e.Step)
 		}
 	}
 

@@ -34,13 +34,34 @@ package engine
 // actual interleaved execution.
 //
 // Fixpoint detection: runs that stabilise without halting (the situation
-// characterised by the modal μ-fragment) are cut off without waiting for
-// the step budget. Every asyncFixpointInterval steps the executor checks
-// whether (a) every queued or in-flight message equals what its source
-// would send from its current state, and (b) no non-halted node would
-// change state or halt on that steady inbox. If both hold, induction on
-// fire events shows no future step can change any state: the run is at a
-// global fixpoint and every undelivered message is a no-op re-send.
+// characterised by the modal μ-fragment) stop at the first step after which
+// no future step can change any state. A node is at its fixpoint
+// (nodeAtFixpoint) when every queued or in-flight message on its in-links
+// equals what the link's source would send from its current state, and
+// stepping it on that steady inbox would neither change its state nor halt
+// it. When that holds at every node, induction on fire events shows the run
+// is at a global fixpoint and every undelivered message is a no-op re-send.
+//
+// The detector is exact and incremental. A node's verdict reads only its
+// own in-link queues and state and the states and liveness of its
+// in-neighbours. Every node starts dirty, and a node is marked dirty again
+// when it fires and when an emission lands on one of its in-links (pushed
+// by the sending shard, or by the receiving one at a cross-shard merge);
+// an in-neighbour's state changes only when it fires, and every firing
+// emits on every out-port. Fault events need no marks: detection waits
+// for the plan to settle, no node is cleaned before the first settled
+// step, and a settled plan never drops, corrupts, retransmits, crashes or
+// recovers again.
+//
+// After each step's last barrier the coordinator re-checks dirty nodes
+// against the quiescent state, keeping a witness: one clean node known not
+// to be at its fixpoint. Every other clean node is known to be at its
+// fixpoint, so while the witness stays clean the answer is "no" at the
+// cost of a flag test, and a re-checked witness costs one δ. Only when the
+// witness turns out fixed does the coordinator scan the dirty nodes for a
+// new one; a scan that finds none proves the global fixpoint. The verdict
+// is a pure function of the configuration, so the stopping step is the
+// same for every shard count; the witness only decides what it costs.
 //
 // Fault injection (Options.Fault, internal/fault) hooks into three
 // places, all behind a nil check so fault-free runs pay nothing. First, a
@@ -62,9 +83,9 @@ package engine
 // whatever is in flight, so a recovering node re-receives its frontier —
 // for the fixpoint argument the extra copy is a no-op re-send, and for
 // the Kahn discipline it is indistinguishable from a duplication. The
-// fixpoint probe stays sound under faults by treating dead nodes as
+// fixpoint detector stays sound under faults by treating dead nodes as
 // frozen (their steady message is m0, their state exempt from the
-// would-change check) and by running only once the plan is settled: an
+// would-change check) and by checking only once the plan is settled: an
 // unsettled plan could still perturb a steady-looking configuration with
 // a future m0-substitution, retransmission or reset.
 
@@ -76,18 +97,6 @@ import (
 	"weakmodels/internal/port"
 	"weakmodels/internal/schedule"
 )
-
-// asyncFixpointInterval(n) spaces the O(ports + n·Step) fixpoint probes far
-// enough apart to amortise to ~O(1) per step. The floor of 64 also keeps
-// the probe out of the bit-identity property test, whose budget is smaller:
-// within the budget, async-under-Synchronous fails with ErrNoHalt exactly
-// when the sequential executor does.
-func asyncFixpointInterval(n int) int {
-	if n > 64 {
-		return n
-	}
-	return 64
-}
 
 // msgQueue is a FIFO of delivered messages with an amortised O(1) pop.
 type msgQueue struct {
@@ -179,6 +188,12 @@ type asyncState struct {
 	ready  []int32       // per node: in-ports with non-empty mail
 	fires  []int64       // per node: completed firings
 
+	// dirty marks the nodes whose fixpoint verdict may have changed since
+	// the detector last computed it (see the file comment). Set by the
+	// shard owning the node during phases, by the coordinator between
+	// them; read and cleared only by the coordinator.
+	dirty []bool
+
 	// Fault state, allocated only when a plan runs (plan != nil): the
 	// liveness mask, the initial states recoveries reset to, and the
 	// plan's decision buffer. corrupt is the plan's Corrupter when it can
@@ -201,7 +216,8 @@ type asyncState struct {
 // asyncBufs is the per-shard scratch space of the async executor: the
 // frontier buffer firings consume through and the canonicalisation buffer,
 // both sized to the maximum degree. Every shard owns its own, which is
-// what keeps firings and the fixpoint probe data-race free across shards.
+// what keeps firings data-race free across shards; the fixpoint detector
+// borrows shard 0's between barriers.
 type asyncBufs struct {
 	inbox   []machine.Message
 	scratch []machine.Message
@@ -219,6 +235,12 @@ func newAsyncState(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Op
 	n := g.N()
 	r := p.Routes()
 	links := r.NumPorts()
+	// halted and dirty share one allocation, so the detector adds none to
+	// a run; every node starts dirty.
+	flags := make([]bool, 2*n)
+	for v := n; v < 2*n; v++ {
+		flags[v] = true
+	}
 	as := &asyncState{
 		m:         m,
 		g:         g,
@@ -229,7 +251,8 @@ func newAsyncState(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Op
 		broadcast: m.Class().Send == machine.SendBroadcast,
 		recv:      m.Class().Recv,
 		states:    make([]machine.State, n),
-		halted:    make([]bool, n),
+		halted:    flags[:n:n],
+		dirty:     flags[n:],
 		outputs:   make([]machine.Output, n),
 		mail:      make([]msgQueue, links),
 		flight:    make([]flightQueue, links),
@@ -310,6 +333,16 @@ func (as *asyncState) portMessage(v int, s, lo int32, silent bool, bmsg machine.
 	}
 }
 
+// mark flags node v dirty for the fixpoint detector. It tests before it
+// writes: between checks most nodes stay dirty, and a redundant store
+// would still take the flag's cache line from other shards writing flags
+// on the same line.
+func (as *asyncState) mark(v int32) {
+	if !as.dirty[v] {
+		as.dirty[v] = true
+	}
+}
+
 // broadcastMessage computes the one message a broadcast machine emits on
 // every port this firing, or m0 when the node is silent.
 func (as *asyncState) broadcastMessage(v int, silent bool) machine.Message {
@@ -326,7 +359,9 @@ func (as *asyncState) emit(v, step int) {
 	silent := as.silent(v)
 	bmsg := as.broadcastMessage(v, silent)
 	for s := lo; s < hi; s++ {
-		as.flight[as.dest[s]].push(as.portMessage(v, s, lo, silent, bmsg), step)
+		dl := as.dest[s]
+		as.flight[dl].push(as.portMessage(v, s, lo, silent, bmsg), step)
+		as.mark(as.node[dl])
 	}
 }
 
@@ -440,6 +475,7 @@ func (as *asyncState) consume(v int, st *stepStats, bufs *asyncBufs) {
 		inbox[i] = msg
 	}
 	as.fires[v]++
+	as.mark(int32(v))
 	if as.jr != nil {
 		st.events = append(st.events, obs.Event{
 			Step: int64(st.step), Kind: obs.KindFire, Node: int32(v), Link: -1,
@@ -485,8 +521,8 @@ func (as *asyncState) steadyMessage(l int32) machine.Message {
 // and — unless v is halted or dead (frozen: a settled plan will never
 // revive it, so its state is exempt) — stepping v on the steady inbox
 // would neither halt it nor change its state. It reads only v's own queues
-// plus the (quiescent) states of v's neighbours, so disjoint node sets can
-// be probed concurrently.
+// plus the (quiescent) states of v's neighbours, which is what lets the
+// detector re-check only the nodes marked dirty.
 func (as *asyncState) nodeAtFixpoint(v int, bufs *asyncBufs) bool {
 	lo, hi := as.off[v], as.off[v+1]
 	for l := lo; l < hi; l++ {

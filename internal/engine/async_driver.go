@@ -31,9 +31,10 @@ package engine
 //     gains at most one message per step and the merge order cannot
 //     reorder any queue.
 //   - Per-shard byte/halt counters are folded by the runtime at the
-//     barrier; the fixpoint probe (settlement-gated exactly as in the
-//     single-shard form) fans out per shard, each worker checking its own
-//     nodes and queues against the quiescent global state.
+//     barrier. Each shard marks dirty only the nodes it owns (emissions
+//     to another shard are marked by the receiver at the merge), and the
+//     fixpoint detector re-checks them on the coordinator after the
+//     step's last barrier, against the quiescent global state.
 //
 // At most two barriers per step (fire, then merge — skipped when no shard
 // staged anything, the common case under a well-cut sharding and a sparse
@@ -65,14 +66,13 @@ type stagedMsg struct {
 // Workers > 1 always shards.
 const asyncAutoShardMinNodes = 512
 
-// asyncShard is one shard's driver-side state: its scratch space, staging
-// rings and probe verdict. The owned node set and telemetry counters live
-// in the runtime.
+// asyncShard is one shard's driver-side state: its scratch space and
+// staging rings. The owned node set and telemetry counters live in the
+// runtime.
 type asyncShard struct {
 	bufs   asyncBufs     // frontier/canonicalisation buffers
 	out    [][]stagedMsg // out[d]: this step's emissions bound for shard d (nil when single-shard)
 	staged bool          // whether any out ring is non-empty this step
-	probe  bool          // this shard's verdict from the last fixpoint probe
 }
 
 // Phases of the async driver.
@@ -84,8 +84,6 @@ const (
 	// asyncPhaseMerge pushes the emissions other shards staged for this
 	// one into the owned flight queues.
 	asyncPhaseMerge
-	// asyncPhaseProbe evaluates the fixpoint condition over the shard.
-	asyncPhaseProbe
 )
 
 // asyncDriver is the coordinator state of one asynchronous run. Fields
@@ -110,8 +108,22 @@ type asyncDriver struct {
 	fateOff []int
 	crpt    []machine.Message
 
+	// Fixpoint detector state (see the async.go header). settled latches
+	// Plan.Settled, which is monotone by contract. witness is a clean node
+	// known not to be at its fixpoint, -1 when none is known; every other
+	// clean node is at its fixpoint. cursor is where the next scan for a
+	// witness starts.
+	settled bool
+	witness int
+	cursor  int
+
 	rt shardRuntime
 }
+
+// fixpointOracle, when non-nil, is called after the detector's verdict at
+// every step a run does not halt at, on the quiescent configuration the
+// verdict was computed on. Tests install the full probe here.
+var fixpointOracle func(as *asyncState, t int, fix bool)
 
 // runPhase executes one phase over shard w; the runtime fans it out.
 func (d *asyncDriver) runPhase(w int, ph runtimePhase) {
@@ -120,8 +132,6 @@ func (d *asyncDriver) runPhase(w int, ph runtimePhase) {
 		d.stepShard(w)
 	case asyncPhaseMerge:
 		d.mergeShard(w)
-	case asyncPhaseProbe:
-		d.shards[w].probe = d.probeShard(w)
 	}
 }
 
@@ -253,6 +263,7 @@ func (d *asyncDriver) emit(w int, sh *asyncShard, v, step int) {
 		dl := as.dest[s]
 		if o := d.linkOwner[dl]; o == int32(w) {
 			as.flight[dl].push(msg, step)
+			as.mark(as.node[dl])
 		} else {
 			sh.out[o] = append(sh.out[o], stagedMsg{link: dl, born: step, msg: msg})
 			sh.staged = true
@@ -261,26 +272,53 @@ func (d *asyncDriver) emit(w int, sh *asyncShard, v, step int) {
 }
 
 // mergeShard ingests the emissions every other shard staged for shard w,
-// in sender order. Each flight queue gains at most one message per step,
-// so the sender order cannot reorder any single queue.
+// in sender order, marking the receivers dirty. Each flight queue gains at
+// most one message per step, so the sender order cannot reorder any
+// single queue.
 func (d *asyncDriver) mergeShard(w int) {
+	as := d.as
 	for s := range d.shards {
 		in := d.shards[s].out[w]
 		for i := range in {
-			d.as.flight[in[i].link].push(in[i].msg, in[i].born)
+			as.flight[in[i].link].push(in[i].msg, in[i].born)
+			as.mark(as.node[in[i].link])
 			in[i] = stagedMsg{} // release the string
 		}
 		d.shards[s].out[w] = in[:0]
 	}
 }
 
-// probeShard evaluates the fixpoint condition over shard w's nodes (and
-// with them all of its in-link queues). It reads neighbour states across
-// shard boundaries, which is safe: nothing is mutated during a probe
-// phase.
-func (d *asyncDriver) probeShard(w int) bool {
-	for _, v := range d.rt.nodes(w) {
-		if !d.as.nodeAtFixpoint(int(v), &d.shards[w].bufs) {
+// atFixpoint reports whether every node is at its fixpoint, re-checking
+// only dirty nodes. It runs on the coordinator after the step's last
+// barrier, so it reads quiescent state and may use shard 0's buffers.
+// While the witness stays clean the answer is no; a dirty witness is
+// re-checked first, and only a fixed one starts a scan of the dirty nodes
+// for its successor. A scan that wraps around without finding one has
+// cleaned every node, each found at its fixpoint.
+func (d *asyncDriver) atFixpoint() bool {
+	as, bufs := d.as, &d.shards[0].bufs
+	if w := d.witness; w >= 0 {
+		if !as.dirty[w] {
+			return false
+		}
+		as.dirty[w] = false
+		if !as.nodeAtFixpoint(w, bufs) {
+			return false
+		}
+		d.witness = -1
+	}
+	n := len(as.dirty)
+	for i := 0; i < n; i++ {
+		v := d.cursor
+		if d.cursor++; d.cursor == n {
+			d.cursor = 0
+		}
+		if !as.dirty[v] {
+			continue
+		}
+		as.dirty[v] = false
+		if !as.nodeAtFixpoint(v, bufs) {
+			d.witness = v
 			return false
 		}
 	}
@@ -339,7 +377,7 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 	}
 	res.Output = as.outputs
 
-	d := &asyncDriver{as: as, dec: schedule.NewDecision(n, links), res: res}
+	d := &asyncDriver{as: as, dec: schedule.NewDecision(n, links), res: res, witness: -1}
 	d.rt.init(p.Locality(), asyncShards(opts, n))
 	if met != nil {
 		d.rt.clock = met.clock
@@ -419,13 +457,6 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 	defer d.rt.stop()
 
 	maxSteps := asyncStepBudget(opts, sched, n)
-	checkInterval := asyncFixpointInterval(n)
-	nextCheck := checkInterval
-	if opts.Resume != nil {
-		// Align the fixpoint-probe cadence with the original run: probes
-		// fire at the same absolute steps whether or not the run resumed.
-		nextCheck = (opts.Resume.Step/checkInterval + 1) * checkInterval
-	}
 	for t := startT; ; t++ {
 		if t > maxSteps {
 			return nil, fmt.Errorf("%w (step budget %d, machine %q on %v, schedule %s)",
@@ -486,39 +517,27 @@ func runAsync(m machine.Machine, g *graph.Graph, p *port.Numbering, opts Options
 		if active == 0 {
 			return res, nil
 		}
-		if t >= nextCheck {
-			nextCheck = t + checkInterval
-			// The probe is only sound once the plan can no longer perturb
-			// the run: an unsettled plan could still m0-substitute or reset
-			// a configuration that currently looks steady.
-			if as.plan == nil || as.plan.Settled() {
-				d.rt.run(asyncPhaseProbe)
-				if met != nil {
-					// The probe's shard time belongs to neither histogram.
-					met.dropShardDurs(d.rt.stats)
-				}
-				fix := true
-				for w := range d.shards {
-					fix = fix && d.shards[w].probe
-				}
-				if as.jr != nil {
-					// Emitted directly: step t's buffered events were already
-					// flushed above, and the probe runs on quiescent state.
-					verdict := int64(0)
-					if fix {
-						verdict = 1
-					}
-					as.jr.event(obs.Event{
-						Step: int64(t), Kind: obs.KindProbe, Node: -1, Link: -1,
-						Arg: verdict})
-				}
-				if fix {
-					res.Fixpoint = true
-					return res, nil
-				}
-			}
+		// Detection is only sound once the plan can no longer perturb the
+		// run: an unsettled plan could still m0-substitute or reset a
+		// configuration that currently looks steady.
+		if !d.settled {
+			d.settled = as.plan == nil || as.plan.Settled()
 		}
-		// Captured after the probe block so a snapshot at step t sits after
+		fix := d.settled && d.atFixpoint()
+		if fixpointOracle != nil {
+			fixpointOracle(as, t, fix)
+		}
+		if fix {
+			if as.jr != nil {
+				// Emitted directly: step t's buffered events were already
+				// flushed above, and detection runs on quiescent state.
+				as.jr.event(obs.Event{
+					Step: int64(t), Kind: obs.KindProbe, Node: -1, Link: -1, Arg: 1})
+			}
+			res.Fixpoint = true
+			return res, nil
+		}
+		// Captured after fixpoint detection so a snapshot at step t sits after
 		// every journal event of step t: the journal of a replay from t is
 		// exactly the original lines with step > t.
 		if cp := opts.Checkpoint; cp != nil && t%cp.Every == 0 {

@@ -18,14 +18,11 @@ import (
 // TestAsyncSynchronousEquivalence is the correctness anchor of the async
 // executor: under the Synchronous schedule it must be bit-identical to
 // ExecutorSeq across the experiment suite — same Output, Rounds,
-// MessageBytes and Trace when the sequential run halts, and the same
-// ErrNoHalt when it does not. The equivalence budget is below the fixpoint
-// probe interval, so detection cannot mask a budget failure here.
+// MessageBytes and Trace when the sequential run halts. When it does not,
+// async must either fail with the same ErrNoHalt or stop at a fixpoint
+// round r that the sequential trajectory confirms: seq's states are
+// constant from round r to the budget and equal async's final States.
 func TestAsyncSynchronousEquivalence(t *testing.T) {
-	if equivalenceBudget >= asyncFixpointInterval(1) {
-		t.Fatalf("equivalence budget %d must stay below the fixpoint probe interval %d",
-			equivalenceBudget, asyncFixpointInterval(1))
-	}
 	rng := rand.New(rand.NewSource(30))
 	for _, g := range suiteGraphs() {
 		delta := g.MaxDegree()
@@ -47,14 +44,24 @@ func TestAsyncSynchronousEquivalence(t *testing.T) {
 						Executor:    ExecutorAsync,
 						Schedule:    sched,
 					})
-					if (seqErr == nil) != (asyncErr == nil) {
-						t.Fatalf("%s: seq err %v, async err %v", label, seqErr, asyncErr)
-					}
 					if seqErr != nil {
-						if !errors.Is(asyncErr, ErrNoHalt) {
-							t.Fatalf("%s: unexpected async error %v", label, asyncErr)
+						if !errors.Is(seqErr, ErrNoHalt) {
+							t.Fatalf("%s: unexpected seq error %v", label, seqErr)
 						}
+						if asyncErr != nil {
+							if !errors.Is(asyncErr, ErrNoHalt) {
+								t.Fatalf("%s: unexpected async error %v", label, asyncErr)
+							}
+							continue
+						}
+						if !async.Fixpoint {
+							t.Fatalf("%s: seq fails with ErrNoHalt, async halted in %d rounds", label, async.Rounds)
+						}
+						checkSeqConstantFrom(t, label, m, p, async.Rounds, async.States)
 						continue
+					}
+					if asyncErr != nil {
+						t.Fatalf("%s: seq halted, async err %v", label, asyncErr)
 					}
 					if seq.Rounds != async.Rounds || seq.MessageBytes != async.MessageBytes {
 						t.Fatalf("%s: telemetry differs (rounds %d/%d bytes %d/%d)",
@@ -80,6 +87,33 @@ func TestAsyncSynchronousEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkSeqConstantFrom confirms an async fixpoint at round r against the
+// sequential executor, which cannot report one: seq is rerun to the
+// equivalence budget with a checkpoint every round, and its state vector
+// must equal want at every round from r to the budget.
+func checkSeqConstantFrom(t *testing.T, label string, m machine.Machine, p *port.Numbering, r int, want []machine.State) {
+	t.Helper()
+	seen := 0
+	_, err := Run(m, p, Options{MaxRounds: equivalenceBudget, Checkpoint: &CheckpointOptions{
+		Every: 1,
+		Sink: func(s *Snapshot) error {
+			if s.Step >= r {
+				seen++
+				if !reflect.DeepEqual(s.States, want) {
+					return fmt.Errorf("seq state at round %d differs from async's fixpoint at round %d", s.Step, r)
+				}
+			}
+			return nil
+		},
+	}})
+	if !errors.Is(err, ErrNoHalt) {
+		t.Fatalf("%s: seq rerun: %v", label, err)
+	}
+	if wantSeen := equivalenceBudget - r + 1; seen != wantSeen {
+		t.Fatalf("%s: seq rerun checked %d rounds from %d, want %d", label, seen, r, wantSeen)
 	}
 }
 

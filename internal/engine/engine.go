@@ -198,7 +198,7 @@ type Options struct {
 	Resume *Snapshot
 	// Obs attaches observability (internal/obs): a Sink receives the
 	// run's event journal — every fire, delivery fate, crash/recovery,
-	// partition heal and fixpoint probe, in a deterministic global order
+	// partition heal and detected fixpoint, in a deterministic global order
 	// that is byte-stable across Workers and GOMAXPROCS — and a Metrics
 	// registry receives round timings plus a mirror of the Result
 	// counters. Default nil: no telemetry, and the hooks cost nothing —

@@ -190,8 +190,8 @@ func (rm *runMetrics) shardPhase(stats []stepStats, h *obs.Histogram) {
 	}
 }
 
-// dropShardDurs clears phase durations without observing them, for phases
-// (probe, initial send) outside the step/merge histograms.
+// dropShardDurs clears phase durations without observing them, for the
+// initial send, which is outside the step/merge histograms.
 func (rm *runMetrics) dropShardDurs(stats []stepStats) {
 	for w := range stats {
 		stats[w].dur = 0

@@ -33,10 +33,12 @@
 // quiescence through Settled. This mirrors Dijkstra's definition of
 // self-stabilisation — convergence is only required after the transient
 // faults cease — and is what keeps the executor's fixpoint detection sound:
-// the engine probes for a global fixpoint only once the plan is settled,
-// since an unsettled plan could still perturb a configuration that looks
-// steady (a future m0-substitution or reset is an adversarial state
-// change). The self-stabilisation harness (internal/stabilize) builds on
+// the engine asks Settled after every step until it first answers true
+// (settlement is monotone, so the answer is latched) and looks for a
+// global fixpoint only from then on, since an unsettled plan could still
+// perturb a configuration that looks steady (a future m0-substitution or
+// reset is an adversarial state change). A run stops at the first step
+// at which the plan is settled and every node is at its fixpoint. The self-stabilisation harness (internal/stabilize) builds on
 // this: run to fixpoint under a fault plan, then compare the stabilised
 // configuration with the fault-free synchronous run.
 package fault
@@ -178,9 +180,11 @@ type Plan interface {
 	Filter(t int, link int) Fate
 	// Settled reports that the plan will never again perturb the run: no
 	// future drop, duplication, corruption, retransmission, crash or
-	// recovery is possible. The engine gates fixpoint detection on it,
-	// because an unsettled plan could still perturb a configuration that
-	// currently looks steady.
+	// recovery is possible. It must be monotone — once true, true for the
+	// rest of the run — because the engine asks it after every step only
+	// until the first true answer. The engine gates fixpoint detection on
+	// it, because an unsettled plan could still perturb a configuration
+	// that currently looks steady.
 	Settled() bool
 }
 

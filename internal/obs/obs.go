@@ -6,7 +6,7 @@
 //
 //   - The journal is the event-level record — every fire, delivery fate
 //     (drop/dup/corrupt/retransmit), crash/recovery, partition heal and
-//     fixpoint probe of a run, emitted as fixed-width Event records in a
+//     detected fixpoint of a run, emitted as fixed-width Event records in a
 //     deterministic global order and serialized as JSONL. It answers
 //     questions of the epistemic kind ("what had node v seen when it
 //     fired?", "which step did the partition heal at?") and is the
@@ -65,8 +65,10 @@ const (
 	// KindHeal records that a partition plan restored cut links at this
 	// step; Arg is the number of links newly healed.
 	KindHeal
-	// KindProbe records a global fixpoint probe; Arg is 1 when the probe
-	// detected a fixpoint (ending the run) and 0 otherwise.
+	// KindProbe records the async executor's fixpoint detection: exactly
+	// one event, with Arg 1, at the step the run stopped at a global
+	// fixpoint. Runs that halt or exhaust their budget record none, and no
+	// event has Arg 0.
 	KindProbe
 	// KindDiverge records, after a stabilisation check, a live node whose
 	// stabilised state differs from the fault-free reference. Step is the

@@ -1,6 +1,6 @@
 package replay
 
-// codec.go is the WRPLAY01 binary format: an 8-byte magic followed by
+// codec.go is the WRPLAY02 binary format: an 8-byte magic followed by
 // self-framing records — tag byte, uvarint payload length, payload — in
 // chronological order. The framing makes the stream kill-tolerant: Load
 // accepts a truncated tail (the process died mid-run) and returns the
@@ -20,8 +20,11 @@ import (
 	"weakmodels/internal/port"
 )
 
-// replayMagic identifies the format and its version.
-const replayMagic = "WRPLAY01"
+// replayMagic identifies the format and its version. WRPLAY02 recordings
+// carry one Settled verdict per step up to the first true one, where
+// WRPLAY01 carried one per periodic fixpoint probe; the two streams do
+// not replay each other.
+const replayMagic = "WRPLAY02"
 
 // Record tags.
 const (
@@ -231,7 +234,7 @@ func encodeEnd(rec *Recording) []byte {
 	return b
 }
 
-// Load decodes a WRPLAY01 recording. The machine and numbering decode the
+// Load decodes a WRPLAY02 recording. The machine and numbering decode the
 // embedded snapshots (the machine supplies the gob state template) and
 // must be the ones the run was recorded with. A truncated tail — the
 // recording process was killed mid-run — is not an error: Load returns

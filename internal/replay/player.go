@@ -74,6 +74,11 @@ type playPlan struct {
 
 	startPlan, startFate, startSettled int
 	initHealed                         int64
+	// settledBefore says a recorded verdict at or before the resume step
+	// was true: the engine stops asking once it hears true, so the
+	// recording holds no later verdicts, and a run resumed after that
+	// step — whose engine asks afresh — hears true.
+	settledBefore bool
 
 	planCur    int
 	fateCur    int // index into rec.fates
@@ -97,6 +102,7 @@ func newPlayPlan(rec *Recording, fromStep int, from *engine.Snapshot) fault.Plan
 	for p.startSettled < len(rec.settled) && rec.settled[p.startSettled].step <= fromStep {
 		p.startSettled++
 	}
+	p.settledBefore = p.startSettled > 0 && rec.settled[p.startSettled-1].ok
 	if rec.Corrupts {
 		return &playCorrupter{*p}
 	}
@@ -144,6 +150,9 @@ func (p *playPlan) Filter(t, link int) fault.Fate {
 }
 
 func (p *playPlan) Settled() bool {
+	if p.settledBefore {
+		return true
+	}
 	if p.settledCur >= len(p.rec.settled) {
 		failReplay("settled stream exhausted")
 	}

@@ -3,7 +3,7 @@ package replay
 // record.go is the recording side: New wraps a run's Options so that the
 // schedule, the fault plan and the checkpoint stream all pass through a
 // Recorder, which mirrors every decision into an in-memory Recording and
-// (optionally) streams it to a writer in the WRPLAY01 format, record by
+// (optionally) streams it to a writer in the WRPLAY02 format, record by
 // record — a killed process leaves a loadable prefix.
 //
 // The wrappers are shape-preserving: the engine type-asserts its

@@ -64,8 +64,10 @@ type fateStep struct {
 	rewrites []string
 }
 
-// settledStep is one recorded Plan.Settled verdict (drawn at fixpoint
-// probes, whose cadence is deterministic).
+// settledStep is one recorded Plan.Settled verdict. The engine asks after
+// every step that does not halt the run, until the first true answer
+// (Settled is monotone, so it latches it), so a recording holds a run of
+// false verdicts ending in at most one true one.
 type settledStep struct {
 	step int
 	ok   bool
@@ -168,7 +170,7 @@ func (rec *Recording) Replay(m machine.Machine, p *port.Numbering, base engine.O
 	return engine.Run(m, p, opts)
 }
 
-// Save writes the recording to w in the WRPLAY01 binary format. Recordings
+// Save writes the recording to w in the WRPLAY02 binary format. Recordings
 // built by New with a non-nil writer are already streamed; Save serializes
 // an in-memory one after the fact. Snapshot states must be gob-encodable.
 func (rec *Recording) Save(w io.Writer) error {

@@ -2,7 +2,7 @@ package replay
 
 // replay_test.go pins the flight-recorder contract: a recorded hostile run
 // replays byte-exactly — Result, trace, journal — from step 0 and from any
-// snapshot, across worker counts and GOMAXPROCS; the WRPLAY01 file format
+// snapshot, across worker counts and GOMAXPROCS; the WRPLAY02 file format
 // round-trips and tolerates kill-truncated tails; and divergence bisection
 // names the exact first off-trajectory (step, node), cross-checked against
 // a full scan and against the journal's own fault events.
@@ -13,6 +13,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"weakmodels/internal/algorithms"
@@ -193,7 +194,7 @@ func TestReplayByteExactHostile(t *testing.T) {
 	}
 }
 
-// TestReplaySaveLoadRoundTrip: the streamed WRPLAY01 file, the after-the-
+// TestReplaySaveLoadRoundTrip: the streamed WRPLAY02 file, the after-the-
 // fact Save output and the in-memory recording all decode to the same
 // recording, and the loaded recording replays byte-exactly.
 func TestReplaySaveLoadRoundTrip(t *testing.T) {
@@ -263,6 +264,28 @@ func TestLoadKillTolerance(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(data[:len(replayMagic)]), m, p); err == nil {
 		t.Error("recording with no begin record accepted")
+	}
+}
+
+// TestLoadRejectsWRPLAY01: a version-01 recording — whose Settled verdicts
+// were drawn at periodic fixpoint probes — is refused with an error naming
+// both versions, not replayed against the per-step verdict stream.
+func TestLoadRejectsWRPLAY01(t *testing.T) {
+	g := graph.Torus(4, 4)
+	p := port.Canonical(g)
+	m := algorithms.MaxConsensus(g.MaxDegree())
+
+	var streamed bytes.Buffer
+	recordHostile(t, &streamed)
+	old := append([]byte("WRPLAY01"), streamed.Bytes()[len(replayMagic):]...)
+	_, err := Load(bytes.NewReader(old), m, p)
+	if err == nil {
+		t.Fatal("WRPLAY01 recording accepted")
+	}
+	for _, want := range []string{"WRPLAY01", "WRPLAY02"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 
