@@ -65,11 +65,15 @@ func CharacteristicIDs(m *kripke.Model, depth, delta int, graded bool, in *logic
 	// formulas can express — which is at most as fine as the refiner's
 	// default full-valuation classes.
 	initDeltaPartition(r, m, delta)
+	// χ⁰ of a state depends only on its level-0 class, so the level-0
+	// formulas double as the χ⁰ conjunct at every depth.
+	level0 := slices.Clone(r.cur)
 	reps := representatives(r.cur, r.classes)
-	classF := make([]logic.ID, r.classes)
+	valF := make([]logic.ID, r.classes)
 	for c, rep := range reps {
-		classF[c] = valuationID(in, m, int(rep), delta)
+		valF[c] = valuationID(in, m, int(rep), delta)
 	}
+	classF := valF
 
 	indices := csr.Indices()
 	var succClasses []int32 // scratch: a representative's successor classes, sorted
@@ -86,7 +90,7 @@ func CharacteristicIDs(m *kripke.Model, depth, delta int, graded bool, in *logic
 		reps = representatives(r.cur, r.classes)
 		classF = make([]logic.ID, r.classes)
 		for c, rep := range reps {
-			conjuncts := []logic.ID{valuationID(in, m, int(rep), delta)}
+			conjuncts := []logic.ID{valF[level0[rep]]}
 			for ai, alpha := range indices {
 				off, succ := r.offs[ai], r.succs[ai]
 				succClasses = succClasses[:0]
@@ -133,6 +137,10 @@ func CharacteristicIDs(m *kripke.Model, depth, delta int, graded bool, in *logic
 // valuation partition: states agreeing on q_1..q_Δ share a class, dense
 // ids by first occurrence in state order.
 func initDeltaPartition(r *refiner, m *kripke.Model, delta int) {
+	names := make([]string, delta+1)
+	for d := 1; d <= delta; d++ {
+		names[d] = kripke.DegreeProp(d)
+	}
 	key := make([]byte, (delta+7)/8)
 	ids := make(map[string]int32)
 	for v := 0; v < r.n; v++ {
@@ -140,7 +148,7 @@ func initDeltaPartition(r *refiner, m *kripke.Model, delta int) {
 			key[i] = 0
 		}
 		for d := 1; d <= delta; d++ {
-			if m.Prop(kripke.DegreeProp(d), v) {
+			if m.Prop(names[d], v) {
 				key[(d-1)>>3] |= 1 << (uint(d-1) & 7)
 			}
 		}

@@ -124,3 +124,34 @@ func BenchmarkCharacteristic(b *testing.B) {
 		Characteristic(m, 2, 3, true)
 	}
 }
+
+// TestCharacteristicValuationsMemoised pins the χ⁰ memo: every state's
+// valuation formula is interned by the level-0 pass, so re-deriving it
+// after CharacteristicIDs finds the existing ID and adds no node, and at
+// depth 0 it is the characteristic formula itself.
+func TestCharacteristicValuationsMemoised(t *testing.T) {
+	rng := rand.New(rand.NewSource(1305))
+	for _, variant := range []kripke.Variant{kripke.VariantPP, kripke.VariantMM} {
+		for _, graded := range []bool{false, true} {
+			g := graph.RandomTree(300, rng)
+			m := kripke.FromPorts(port.Random(g, rng), variant)
+			delta := g.MaxDegree()
+			in := logic.NewInterner()
+			CharacteristicIDs(m, 3, delta, graded, in)
+			size := in.Len()
+			val := make([]logic.ID, m.N())
+			for v := range val {
+				val[v] = valuationID(in, m, v, delta)
+			}
+			if in.Len() != size {
+				t.Fatalf("%v graded=%v: valuation formulas grew the interner %d → %d", variant, graded, size, in.Len())
+			}
+			chi0 := CharacteristicIDs(m, 0, delta, graded, in)
+			for v, id := range val {
+				if id != chi0[v] {
+					t.Fatalf("%v graded=%v: valuation of %d is %d, χ⁰ is %d", variant, graded, v, id, chi0[v])
+				}
+			}
+		}
+	}
+}

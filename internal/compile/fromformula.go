@@ -19,12 +19,14 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"weakmodels/internal/kripke"
 	"weakmodels/internal/logic"
 	"weakmodels/internal/machine"
-	"weakmodels/internal/term"
 )
 
 // Tri is the three-valued truth domain {0, 1, U} of the Theorem 2 proof.
@@ -77,10 +79,50 @@ type compiled struct {
 	delta    int
 	variant  kripke.Variant
 	graded   bool
+	// broadcast is set for the variants whose messages ignore the out-port.
+	broadcast bool
 	// dsets[j] (1-based j; index 0 unused) lists subformula indices sent to
 	// port j: D_j for per-port variants. For broadcast variants dsets[1]
 	// holds D (all ports share it).
 	dsets [][]int
+	// tmpl[j] is the message template of slot j, parallel to dsets.
+	tmpl []template
+	// diaOff[i], for a diamond subs[i], is the byte offset of its child's
+	// value digit in the template of the slot the diamond reads: Idx.J for
+	// per-port variants, 1 for broadcast ones.
+	diaOff []int
+}
+
+// template is the message of one D-set slot with every value set to 0.
+// Values are single digits (Tri ∈ {0,1,2}), so every message of the slot
+// has the template's length and fixed bytes and differs from it only at
+// the digit offsets.
+type template struct {
+	// bytes is term.Tuple(Int(tag), Tuple(Int(idx), Int(0))…).Encode():
+	// t(tag,t(idx,0),…), entries in ascending subformula index.
+	bytes string
+	// digits[k] is the offset of the value digit of the k-th D-set entry.
+	digits []int
+	// head is the prefix "t(tag," that tells the slots of a per-port
+	// variant apart.
+	head string
+}
+
+func newTemplate(tag int, dset []int) template {
+	var b strings.Builder
+	b.WriteString("t(")
+	b.WriteString(strconv.Itoa(tag))
+	t := template{head: b.String() + ",", digits: make([]int, len(dset))}
+	for k, idx := range dset {
+		b.WriteString(",t(")
+		b.WriteString(strconv.Itoa(idx))
+		b.WriteByte(',')
+		t.digits[k] = b.Len()
+		b.WriteString("0)")
+	}
+	b.WriteByte(')')
+	t.bytes = b.String()
+	return t
 }
 
 // fmState is the per-node state: one Tri per subformula. It renders
@@ -111,11 +153,12 @@ func newCompiled(f logic.Formula, delta int) (*compiled, error) {
 		return subs[a].String() < subs[b].String()
 	})
 	c := &compiled{
-		subs:    subs,
-		index:   make(map[string]int, len(subs)),
-		delta:   delta,
-		variant: variant,
-		graded:  fragment.Graded,
+		subs:      subs,
+		index:     make(map[string]int, len(subs)),
+		delta:     delta,
+		variant:   variant,
+		graded:    fragment.Graded,
+		broadcast: variant == kripke.VariantPM || variant == kripke.VariantMM,
 	}
 	for i, s := range subs {
 		c.index[s.String()] = i
@@ -135,8 +178,7 @@ func newCompiled(f logic.Formula, delta int) (*compiled, error) {
 		}
 	}
 	// Build the D sets.
-	broadcast := variant == kripke.VariantPM || variant == kripke.VariantMM
-	if broadcast {
+	if c.broadcast {
 		c.dsets = make([][]int, 2)
 	} else {
 		c.dsets = make([][]int, delta+1)
@@ -148,7 +190,7 @@ func newCompiled(f logic.Formula, delta int) (*compiled, error) {
 			continue
 		}
 		child := c.index[d.F.String()]
-		if broadcast {
+		if c.broadcast {
 			if !seen[[2]int{1, child}] {
 				seen[[2]int{1, child}] = true
 				c.dsets[1] = append(c.dsets[1], child)
@@ -167,7 +209,35 @@ func newCompiled(f logic.Formula, delta int) (*compiled, error) {
 	for j := range c.dsets {
 		sort.Ints(c.dsets[j])
 	}
+	// One template per slot, tagged with the out-port (−1 for broadcast),
+	// and each diamond's digit offset in the slot it reads.
+	c.tmpl = make([]template, len(c.dsets))
+	for j := 1; j < len(c.dsets); j++ {
+		tag := j
+		if c.broadcast {
+			tag = -1
+		}
+		c.tmpl[j] = newTemplate(tag, c.dsets[j])
+	}
+	c.diaOff = make([]int, len(subs))
+	for i, s := range subs {
+		d, ok := s.(logic.Diamond)
+		if !ok {
+			continue
+		}
+		slot := c.diamondSlot(d)
+		k := slices.Index(c.dsets[slot], c.children[i][0])
+		c.diaOff[i] = c.tmpl[slot].digits[k]
+	}
 	return c, nil
+}
+
+// diamondSlot is the D-set slot whose messages a diamond reads.
+func (c *compiled) diamondSlot(d logic.Diamond) int {
+	if c.broadcast {
+		return 1
+	}
+	return d.Idx.J
 }
 
 // initVals evaluates all modal-depth-0 subformulas for a node of the given
@@ -233,43 +303,65 @@ func triOr(a, b Tri) Tri {
 // encodeRestriction builds the message of the proof: the restriction of the
 // assignment to the D set for port j, tagged with j for per-port variants
 // (tag −1 for broadcast). The format is t(tag, t(idx,val), ...), with
-// entries in ascending subformula index — canonical and injective.
+// entries in ascending subformula index — canonical and injective. It is
+// the slot's template with the values written in.
 func (c *compiled) encodeRestriction(vals []Tri, j int) machine.Message {
 	slot := j
-	broadcast := c.variant == kripke.VariantPM || c.variant == kripke.VariantMM
-	tag := int64(j)
-	if broadcast {
+	if c.broadcast {
 		slot = 1
-		tag = -1
 	}
-	kids := make([]term.Term, 0, len(c.dsets[slot])+1)
-	kids = append(kids, term.Int(tag))
-	for _, idx := range c.dsets[slot] {
-		kids = append(kids, term.Tuple(term.Int(int64(idx)), term.Int(int64(vals[idx]))))
+	t := &c.tmpl[slot]
+	var b strings.Builder
+	b.Grow(len(t.bytes))
+	prev := 0
+	for k, off := range t.digits {
+		b.WriteString(t.bytes[prev:off])
+		b.WriteByte('0' + byte(vals[c.dsets[slot][k]]))
+		prev = off + 1
 	}
-	return machine.EncodeTerm(term.Tuple(kids...))
+	b.WriteString(t.bytes[prev:])
+	return b.String()
 }
 
-// decoded is one parsed incoming message.
-type decoded struct {
-	tag  int // sender's out-port; -1 for broadcast; -2 for m0
-	vals map[int]Tri
-}
-
-func decodeRestriction(m machine.Message) (decoded, error) {
-	if m == machine.NoMessage {
-		return decoded{tag: -2}, nil
+// slotOf returns the slot whose template m fills — same length, same
+// fixed bytes, a digit in 0–2 at every value offset — or 0 when m is not
+// a message the machine can send (m0 included).
+//
+//weakvet:noalloc
+func (c *compiled) slotOf(m machine.Message) int {
+	slot := 1
+	if !c.broadcast {
+		// Per-port tags are t(j,… with 1 ≤ j ≤ Δ; the byte comparison
+		// below rejects non-canonical spellings such as leading zeros.
+		if len(m) < 3 || m[0] != 't' || m[1] != '(' {
+			return 0
+		}
+		slot = 0
+		for i := 2; i < len(m) && m[i] >= '0' && m[i] <= '9'; i++ {
+			slot = slot*10 + int(m[i]-'0')
+			if slot >= len(c.tmpl) {
+				return 0
+			}
+		}
+		if slot == 0 {
+			return 0
+		}
 	}
-	t, err := term.Parse(m)
-	if err != nil {
-		return decoded{}, fmt.Errorf("compile: bad message: %w", err)
+	t := &c.tmpl[slot]
+	if len(m) != len(t.bytes) {
+		return 0
 	}
-	d := decoded{tag: int(t.At(0).IntVal()), vals: make(map[int]Tri, t.Len()-1)}
-	for i := 1; i < t.Len(); i++ {
-		pair := t.At(i)
-		d.vals[int(pair.At(0).IntVal())] = Tri(pair.At(1).IntVal())
+	prev := 0
+	for _, off := range t.digits {
+		if m[prev:off] != t.bytes[prev:off] || m[off] < '0' || m[off] > '2' {
+			return 0
+		}
+		prev = off + 1
 	}
-	return d, nil
+	if m[prev:] != t.bytes[prev:] {
+		return 0
+	}
+	return slot
 }
 
 // MachineFromFormula compiles ψ into a local algorithm per Theorem 2. The
@@ -324,11 +416,7 @@ func MachineFromFormula(f logic.Formula, delta int) (machine.Machine, kripke.Var
 			return c.encodeRestriction(s.(fmState).Vals, port)
 		},
 		StepFunc: func(s machine.State, inbox []machine.Message) machine.State {
-			x := s.(fmState)
-			next, err := c.step(x.Vals, inbox)
-			if err != nil {
-				panic(err) // messages are self-produced; malformed ⇒ bug
-			}
+			next := c.step(s.(fmState).Vals, inbox)
 			out := fmState{Vals: next}
 			if next[c.root] != TriU {
 				out.Done = true
@@ -336,6 +424,8 @@ func MachineFromFormula(f logic.Formula, delta int) (machine.Machine, kripke.Var
 			}
 			return out
 		},
+		// Corrupted payloads degrade to m0 before δ sees them.
+		ValidFunc: func(m machine.Message) bool { return c.slotOf(m) != 0 },
 	}
 	return m, c.variant, nil
 }
@@ -349,17 +439,15 @@ func outputOf(v Tri) machine.Output {
 
 // step implements the transition clauses (δ∧), (δ¬) and the four (δ◇)
 // variants.
-func (c *compiled) step(old []Tri, inbox []machine.Message) ([]Tri, error) {
-	msgs := make([]decoded, len(inbox))
-	for i, m := range inbox {
-		d, err := decodeRestriction(m)
-		if err != nil {
-			return nil, err
+func (c *compiled) step(old []Tri, inbox []machine.Message) []Tri {
+	for _, m := range inbox {
+		if m != machine.NoMessage && c.slotOf(m) == 0 {
+			// Messages are self-produced, or guarded to m0 under
+			// corruption; malformed ⇒ bug.
+			panic(fmt.Sprintf("compile: bad message %q", m))
 		}
-		msgs[i] = d
 	}
-	next := make([]Tri, len(old))
-	copy(next, old)
+	next := slices.Clone(old)
 	for i, s := range c.subs {
 		if old[i] != TriU {
 			continue // clause (a): settled values persist
@@ -372,51 +460,47 @@ func (c *compiled) step(old []Tri, inbox []machine.Message) ([]Tri, error) {
 		case logic.Or:
 			next[i] = triOr(next[c.children[i][0]], next[c.children[i][1]])
 		case logic.Diamond:
-			child := c.children[i][0]
-			if old[child] == TriU {
+			if old[c.children[i][0]] == TriU {
 				next[i] = TriU // gate: child not yet evaluated anywhere
 				continue
 			}
-			next[i] = c.evalDiamond(x, child, msgs)
+			next[i] = c.evalDiamond(x, c.diaOff[i], inbox)
 		}
 	}
-	return next, nil
+	return next
 }
 
-// evalDiamond applies the variant-specific clause (δ◇).
-func (c *compiled) evalDiamond(d logic.Diamond, child int, msgs []decoded) Tri {
+// carries reports whether the valid message m belongs to slot and holds 1
+// at the digit offset off.
+func (c *compiled) carries(m machine.Message, slot, off int) bool {
+	if m == machine.NoMessage {
+		return false
+	}
+	if !c.broadcast && !strings.HasPrefix(m, c.tmpl[slot].head) {
+		return false
+	}
+	return m[off] == '1'
+}
+
+// evalDiamond applies the variant-specific clause (δ◇); off is the offset
+// of the child's value digit in the slot the diamond reads.
+func (c *compiled) evalDiamond(d logic.Diamond, off int, inbox []machine.Message) Tri {
+	slot := c.diamondSlot(d)
 	switch c.variant {
-	case kripke.VariantPP:
-		// ⟨(i,j)⟩ϑ: message at in-port i must carry (1, j).
+	case kripke.VariantPP, kripke.VariantPM:
+		// ⟨(i,j)⟩ϑ: the message at in-port i must carry (1, j);
+		// ⟨(i,∗)⟩ϑ: the broadcast message at in-port i carries 1.
 		i := d.Idx.I
-		if i < 1 || i > len(msgs) {
+		if i < 1 || i > len(inbox) {
 			return TriFalse
 		}
-		m := msgs[i-1]
-		if m.tag == d.Idx.J && m.vals[child] == TriTrue {
-			return TriTrue
-		}
-		return TriFalse
-	case kripke.VariantMP:
-		// ⟨(∗,j)⟩≥k ϑ: count messages tagged j carrying 1.
+		return boolTri(c.carries(inbox[i-1], slot, off))
+	case kripke.VariantMP, kripke.VariantMM:
+		// ⟨(∗,j)⟩≥k ϑ: count messages tagged j carrying 1;
+		// ⟨(∗,∗)⟩≥k ϑ: count messages carrying 1.
 		count := 0
-		for _, m := range msgs {
-			if m.tag == d.Idx.J && m.vals[child] == TriTrue {
-				count++
-			}
-		}
-		return boolTri(count >= d.K)
-	case kripke.VariantPM:
-		// ⟨(i,∗)⟩ϑ: broadcast message at in-port i carries 1.
-		i := d.Idx.I
-		if i < 1 || i > len(msgs) {
-			return TriFalse
-		}
-		return boolTri(msgs[i-1].vals[child] == TriTrue)
-	case kripke.VariantMM:
-		count := 0
-		for _, m := range msgs {
-			if m.vals[child] == TriTrue {
+		for _, m := range inbox {
+			if c.carries(m, slot, off) {
 				count++
 			}
 		}

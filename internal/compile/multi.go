@@ -7,6 +7,7 @@ import (
 	"weakmodels/internal/kripke"
 	"weakmodels/internal/logic"
 	"weakmodels/internal/machine"
+	"weakmodels/internal/term"
 )
 
 // MachineFromFormulas compiles a *tuple* of formulas into one machine —
@@ -91,6 +92,24 @@ func MachineFromFormulas(formulas map[machine.Output]logic.Formula, delta int) (
 		}
 		return "", true
 	}
+	// A tuple is in the alphabet only if it has one part per formula and
+	// each part is m0 or in its component's alphabet.
+	valid := func(msg machine.Message) bool {
+		t, err := machine.DecodeTerm(msg)
+		if err != nil || t.Kind() != term.KindTuple || t.Len() != len(subs) {
+			return false
+		}
+		for i, m := range subs {
+			part := t.At(i)
+			if part.Kind() != term.KindStr {
+				return false
+			}
+			if s := part.StrVal(); s != machine.NoMessage && !m.(machine.MessageGuard).ValidMessage(s) {
+				return false
+			}
+		}
+		return true
+	}
 	name := fmt.Sprintf("compiled-tuple[%d formulas]", len(labels))
 	return &machine.Func{
 		MachineName:  name,
@@ -137,6 +156,7 @@ func MachineFromFormulas(formulas map[machine.Output]logic.Formula, delta int) (
 			out, done := decide(next)
 			return multiState{States: next, Done: done, Out: out}
 		},
+		ValidFunc: valid,
 	}, variant, nil
 }
 

@@ -121,7 +121,10 @@ func Petersen() *Graph {
 }
 
 // RandomTree returns a uniformly random labelled tree on n nodes via a
-// Prüfer sequence drawn from rng.
+// Prüfer sequence drawn from rng. The sequence is decoded in linear time:
+// ptr only moves forward to find the next leaf, and a node that becomes a
+// leaf below ptr is the smallest leaf, so it is used at once. Each step
+// therefore joins the smallest current leaf to the next sequence entry.
 func RandomTree(n int, rng *rand.Rand) *Graph {
 	if n <= 1 {
 		return MustNew(n, nil)
@@ -140,28 +143,28 @@ func RandomTree(n int, rng *rand.Rand) *Graph {
 	for _, v := range prufer {
 		degree[v]++
 	}
-	var edges []Edge
+	edges := make([]Edge, 0, n-1)
+	ptr := 0
+	for degree[ptr] != 1 {
+		ptr++
+	}
+	leaf := ptr
 	for _, v := range prufer {
-		for u := 0; u < n; u++ {
-			if degree[u] == 1 {
-				edges = append(edges, Edge{U: u, V: v})
-				degree[u]--
-				degree[v]--
-				break
-			}
+		edges = append(edges, Edge{U: leaf, V: v})
+		degree[leaf]--
+		degree[v]--
+		if degree[v] == 1 && v < ptr {
+			leaf = v
+			continue
 		}
-	}
-	u, w := -1, -1
-	for v := 0; v < n; v++ {
-		if degree[v] == 1 {
-			if u == -1 {
-				u = v
-			} else {
-				w = v
-			}
+		ptr++
+		for degree[ptr] != 1 {
+			ptr++
 		}
+		leaf = ptr
 	}
-	edges = append(edges, Edge{U: u, V: w})
+	// Two leaves remain: leaf, and n−1, which is never the smallest.
+	edges = append(edges, Edge{U: leaf, V: n - 1})
 	return MustNew(n, edges)
 }
 
