@@ -18,6 +18,7 @@ package weakmodels_test
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -349,6 +350,39 @@ func BenchmarkBisimRefineLegacy(b *testing.B) {
 	}
 }
 
+// charBenchModel is the characteristic-formula workload: a seeded random
+// tree of 5·10⁴ nodes as an mm model, the shape of the logic-tree
+// benchmark job, with its Δ for the degree valuation.
+func charBenchModel() (*kripke.Model, int) {
+	g := graph.RandomTree(50_000, rand.New(rand.NewSource(1501)))
+	m := kripke.FromPorts(port.Canonical(g), kripke.VariantMM)
+	m.CSR()
+	return m, g.MaxDegree()
+}
+
+// charBenchDepth is the χ depth of the characteristic-formula rows.
+const charBenchDepth = 3
+
+// benchCharacteristic builds every state's depth-3 χ into a fresh
+// interner per op: refinement plus hash-consing, no evaluation.
+func benchCharacteristic(b *testing.B, m *kripke.Model, delta int, graded bool) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bisim.CharacteristicIDs(m, charBenchDepth, delta, graded, logic.NewInterner())
+	}
+}
+
+// BenchmarkCharacteristicIDs times characteristic-formula construction on
+// the n=5·10⁴ random tree, both fragments.
+func BenchmarkCharacteristicIDs(b *testing.B) {
+	m, delta := charBenchModel()
+	for _, graded := range []bool{true, false} {
+		b.Run(fmt.Sprintf("n=50000/tree/graded=%v", graded), func(b *testing.B) {
+			benchCharacteristic(b, m, delta, graded)
+		})
+	}
+}
+
 // logicBenchRecord is one row of BENCH_logic.json.
 type logicBenchRecord struct {
 	Name        string  `json:"name"`
@@ -460,6 +494,12 @@ func TestEmitLogicBenchJSON(t *testing.T) {
 				}
 			}))
 		}
+	}
+	tree, delta := charBenchModel()
+	for _, graded := range []bool{true, false} {
+		add(fmt.Sprintf("Logic/char/n=50000/tree/graded=%v", graded), testing.Benchmark(func(b *testing.B) {
+			benchCharacteristic(b, tree, delta, graded)
+		}))
 	}
 	sort.Slice(records, func(i, j int) bool { return records[i].Name < records[j].Name })
 	blob, err := json.MarshalIndent(records, "", "  ")

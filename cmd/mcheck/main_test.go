@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,5 +102,66 @@ func TestRunCharExpander1e5(t *testing.T) {
 	args := []string{"-char", "-graph", "expander:100000,4,13", "-node", "0", "-depth", "3", "-graded", "-workers", "4"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// runCaptured runs the CLI with stdout redirected into the returned string.
+func runCaptured(t *testing.T, args []string) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		out, _ := io.ReadAll(r)
+		done <- out
+	}()
+	runErr := run(args)
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	r.Close()
+	return string(out), runErr
+}
+
+// TestRunWideNumbersRejected: grades and port indices are int32 in the
+// interned formula records. A wider number used to be truncated, so a
+// formula collapsed onto a different one and printed a wrong truth set
+// (the first two printed [], the third all 16 nodes); now the parser
+// refuses it and names the limit.
+func TestRunWideNumbersRejected(t *testing.T) {
+	for _, formula := range []string{
+		"<1,1> true & !(<4294967297,1> true)",
+		"<*,*> true & !(<*,*>=4294967297 true)",
+		"<*,*>=4294967297 q4",
+	} {
+		out, err := runCaptured(t, []string{"-formula", formula, "-graph", "torus:4x4"})
+		if err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("%q: err = %v, want a parse error naming the limit 2147483647", formula, err)
+		}
+		if strings.Contains(out, "‖φ‖") {
+			t.Errorf("%q: printed a truth set:\n%s", formula, out)
+		}
+	}
+}
+
+// TestRunInt32BoundaryNumbers: the same formulas at the largest accepted
+// number keep it exactly and print the right sets on torus:4x4.
+func TestRunInt32BoundaryNumbers(t *testing.T) {
+	for _, c := range []struct{ formula, want string }{
+		{"<1,1> true & !(<2147483647,1> true)", "‖φ‖ = [0 1] (2 of 16 nodes)"},
+		{"<*,*> true & !(<*,*>=2147483647 true)", "‖φ‖ = [0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15] (16 of 16 nodes)"},
+		{"<*,*>=2147483647 q4", "‖φ‖ = [] (0 of 16 nodes)"},
+	} {
+		out, err := runCaptured(t, []string{"-formula", c.formula, "-graph", "torus:4x4"})
+		if err != nil {
+			t.Fatalf("%q: %v", c.formula, err)
+		}
+		if !strings.Contains(out, c.want) {
+			t.Errorf("%q: output\n%s\nwant a line %q", c.formula, out, c.want)
+		}
 	}
 }

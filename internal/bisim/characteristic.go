@@ -64,7 +64,7 @@ func CharacteristicIDs(m *kripke.Model, depth, delta int, graded bool, in *logic
 	// Level 0 partitions by the Δ-restricted valuation — what the degree
 	// formulas can express — which is at most as fine as the refiner's
 	// default full-valuation classes.
-	initDeltaPartition(r, m, delta)
+	initDeltaPartition(r, delta)
 	// χ⁰ of a state depends only on its level-0 class, so the level-0
 	// formulas double as the χ⁰ conjunct at every depth.
 	level0 := slices.Clone(r.cur)
@@ -76,7 +76,11 @@ func CharacteristicIDs(m *kripke.Model, depth, delta int, graded bool, in *logic
 	classF := valF
 
 	indices := csr.Indices()
-	var succClasses []int32 // scratch: a representative's successor classes, sorted
+	// Scratch reused across classes and labels: a representative's
+	// successor classes (sorted), its conjuncts, and one label's box
+	// disjuncts. The interner copies nothing out of them.
+	var succClasses []int32
+	var conjuncts, disjuncts []logic.ID
 	for d := 1; d <= depth; d++ {
 		prev := r.cur
 		prevF := classF
@@ -90,7 +94,7 @@ func CharacteristicIDs(m *kripke.Model, depth, delta int, graded bool, in *logic
 		reps = representatives(r.cur, r.classes)
 		classF = make([]logic.ID, r.classes)
 		for c, rep := range reps {
-			conjuncts := []logic.ID{valF[level0[rep]]}
+			conjuncts = append(conjuncts[:0], valF[level0[rep]])
 			for ai, alpha := range indices {
 				off, succ := r.offs[ai], r.succs[ai]
 				succClasses = succClasses[:0]
@@ -100,7 +104,7 @@ func CharacteristicIDs(m *kripke.Model, depth, delta int, graded bool, in *logic
 				slices.Sort(succClasses)
 				// Per distinct successor class, in ascending id order:
 				// the diamond conjuncts, then the box over all present.
-				var disjuncts []logic.ID
+				disjuncts = disjuncts[:0]
 				for i := 0; i < len(succClasses); {
 					c2 := succClasses[i]
 					k := 0
@@ -135,11 +139,12 @@ func CharacteristicIDs(m *kripke.Model, depth, delta int, graded bool, in *logic
 
 // initDeltaPartition resets the refiner's classes to the Δ-restricted
 // valuation partition: states agreeing on q_1..q_Δ share a class, dense
-// ids by first occurrence in state order.
-func initDeltaPartition(r *refiner, m *kripke.Model, delta int) {
-	names := make([]string, delta+1)
+// ids by first occurrence in state order. Each q_d's truth set is read
+// once, as the CSR bitset.
+func initDeltaPartition(r *refiner, delta int) {
+	bits := make([][]uint64, delta+1) // nil when the model lacks q_d
 	for d := 1; d <= delta; d++ {
-		names[d] = kripke.DegreeProp(d)
+		bits[d] = r.csr.PropBits(kripke.DegreeProp(d))
 	}
 	key := make([]byte, (delta+7)/8)
 	ids := make(map[string]int32)
@@ -148,7 +153,7 @@ func initDeltaPartition(r *refiner, m *kripke.Model, delta int) {
 			key[i] = 0
 		}
 		for d := 1; d <= delta; d++ {
-			if m.Prop(names[d], v) {
+			if b := bits[d]; b != nil && b[v>>6]&(1<<(uint(v)&63)) != 0 {
 				key[(d-1)>>3] |= 1 << (uint(d-1) & 7)
 			}
 		}

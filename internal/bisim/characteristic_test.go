@@ -1,6 +1,9 @@
 package bisim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -153,5 +156,97 @@ func TestCharacteristicValuationsMemoised(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// charCases are the χ bit-identity workloads at depth 3, both fragments:
+// two seeded random trees in the port-labelled and the unlabelled
+// variant, and a preferential-attachment graph in the unlabelled one
+// (its hubs give the port-labelled model ~1800 labels and a 16M-node χ
+// arena, too slow for a unit test).
+func charCases(t *testing.T, visit func(name string, m *kripke.Model, delta int, graded bool)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1406))
+	pa, err := graph.PreferentialAttachment(3000, 3, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	both := []kripke.Variant{kripke.VariantMM, kripke.VariantPP}
+	cases := []struct {
+		g        *graph.Graph
+		variants []kripke.Variant
+	}{
+		{graph.RandomTree(5000, rng), both},
+		{graph.RandomTree(5000, rng), both},
+		{pa, both[:1]},
+	}
+	for gi, c := range cases {
+		p := port.Random(c.g, rng)
+		for _, variant := range c.variants {
+			m := kripke.FromPorts(p, variant)
+			for _, graded := range []bool{true, false} {
+				visit(fmt.Sprintf("graph%d/%v/graded=%v", gi, variant, graded), m, c.g.MaxDegree(), graded)
+			}
+		}
+	}
+}
+
+// TestCharacteristicArenaReinterns: re-interning every χ node in ID order
+// into a fresh interner gives every node back its own ID, so the arena
+// holds no duplicates and every child precedes its parent.
+func TestCharacteristicArenaReinterns(t *testing.T) {
+	charCases(t, func(name string, m *kripke.Model, delta int, graded bool) {
+		in := logic.NewInterner()
+		CharacteristicIDs(m, 3, delta, graded, in)
+		fresh := logic.NewInterner()
+		for i := logic.ID(0); int(i) < in.Len(); i++ {
+			if got := reintern(fresh, in.Node(i)); got != i {
+				t.Fatalf("%s: node %d (%+v) re-interns as %d", name, i, in.Node(i), got)
+			}
+		}
+	})
+}
+
+// reintern builds n's node in in from its already-interned children.
+func reintern(in *logic.Interner, n logic.Node) logic.ID {
+	switch n.Op {
+	case logic.OpTop:
+		return in.Top()
+	case logic.OpBot:
+		return in.Bot()
+	case logic.OpProp:
+		return in.Prop(n.Prop)
+	case logic.OpNot:
+		return in.Not(n.L)
+	case logic.OpAnd:
+		return in.And(n.L, n.R)
+	case logic.OpOr:
+		return in.Or(n.L, n.R)
+	case logic.OpDia:
+		return in.Dia(n.Idx, int(n.K), n.L)
+	}
+	panic(fmt.Sprintf("unknown op %d", n.Op))
+}
+
+// charGoldenDigest is the SHA-256 of every case's χ IDs, interner size
+// and node records, as computed by the map-keyed interner this table
+// replaced. Any change to χ construction or to ID assignment moves it.
+const charGoldenDigest = "641a5326ebbe5e088a3c887e625ae4b5ef33d6f7ea056ed769c3c7a1553b960c"
+
+// TestCharacteristicGoldenDigest pins χ output bit for bit across
+// interner and refiner rewrites.
+func TestCharacteristicGoldenDigest(t *testing.T) {
+	h := sha256.New()
+	charCases(t, func(name string, m *kripke.Model, delta int, graded bool) {
+		in := logic.NewInterner()
+		ids := CharacteristicIDs(m, 3, delta, graded, in)
+		fmt.Fprintf(h, "%s %d %v\n", name, in.Len(), ids)
+		for i := logic.ID(0); int(i) < in.Len(); i++ {
+			n := in.Node(i)
+			fmt.Fprintf(h, "%d %d %d %d %d %d %q\n", n.Op, n.L, n.R, n.Idx.I, n.Idx.J, n.K, n.Prop)
+		}
+	})
+	if got := hex.EncodeToString(h.Sum(nil)); got != charGoldenDigest {
+		t.Fatalf("χ digest %s, want %s", got, charGoldenDigest)
 	}
 }

@@ -31,7 +31,25 @@ func weakvetHotEval() (*Evaluator, ID) {
 // weakvetWords matches the torus model above: 64 states, one word.
 const weakvetWords = 1
 
+// weakvetSinkID keeps probe's result live without allocating.
+var weakvetSinkID ID
+
 var weakvetAllocDrivers = map[string]func() func(){
+	"(*Interner).probe": func() func() {
+		// A table regrown a few times, probed for a present record and
+		// for an absent one that shares its children.
+		e, id := weakvetHotEval()
+		in := e.in
+		for i := 0; i < 200; i++ {
+			id = in.Dia(kripke.Index{}, i, id)
+		}
+		hit := in.recs[id]
+		miss := rec{op: OpDia, l: hit.l, k: -1}
+		return func() {
+			weakvetSinkID, _ = in.probe(hit, hit.hash())
+			weakvetSinkID, _ = in.probe(miss, miss.hash())
+		}
+	},
 	"(*Evaluator).run": func() func() {
 		e, id := weakvetHotEval()
 		return func() {

@@ -146,12 +146,12 @@ func (e *Evaluator) Eval(id ID) []uint64 {
 		if !e.marked[i] || e.valid[i] {
 			continue
 		}
-		switch n := e.in.nodes[i]; n.Op {
+		switch x := e.in.recs[i]; x.op {
 		case OpNot, OpDia:
-			e.marked[n.L] = true
+			e.marked[x.l] = true
 		case OpAnd, OpOr:
-			e.marked[n.L] = true
-			e.marked[n.R] = true
+			e.marked[x.l] = true
+			e.marked[x.r] = true
 		}
 	}
 	e.plan = e.plan[:0]
@@ -184,47 +184,48 @@ func (e *Evaluator) Eval(id ID) []uint64 {
 func (e *Evaluator) run() {
 	for _, i := range e.plan {
 		dst := e.rows[i]
-		switch n := e.in.nodes[i]; n.Op {
+		switch x := e.in.recs[i]; x.op {
 		case OpTop:
 			fillInto(dst, e.tw)
 		case OpBot:
 			zeroInto(dst)
 		case OpProp:
-			if bits := e.csr.PropBits(n.Prop); bits != nil {
+			if bits := e.csr.PropBits(e.in.props[x.l]); bits != nil {
 				copy(dst, bits)
 			} else {
 				zeroInto(dst)
 			}
 		case OpNot:
-			notInto(dst, e.rows[n.L], e.tw)
+			notInto(dst, e.rows[x.l], e.tw)
 		case OpAnd:
-			andInto(dst, e.rows[n.L], e.rows[n.R])
+			andInto(dst, e.rows[x.l], e.rows[x.r])
 		case OpOr:
-			orInto(dst, e.rows[n.L], e.rows[n.R])
+			orInto(dst, e.rows[x.l], e.rows[x.r])
 		case OpDia:
-			if n.K <= 0 {
+			if x.k <= 0 {
 				fillInto(dst, e.tw)
 				break
 			}
-			off, succ, ok := e.csr.Rel(n.Idx)
+			idx := kripke.Index{I: int(x.i), J: int(x.j)}
+			off, succ, ok := e.csr.Rel(idx)
 			if !ok {
 				zeroInto(dst)
 				break
 			}
-			child := e.rows[n.L]
+			child := e.rows[x.l]
 			// ⟨α⟩ with a sparse child defeats the forward scan's early
 			// break (most rows scan to the end and find nothing) — there,
 			// walking the few set bits backwards over predecessor rows
 			// touches only the edges that matter. Boxes are the common
 			// case: [α]f is ¬⟨α⟩¬f, and a mostly-true f makes ¬f sparse.
-			if n.K == 1 {
+			if x.k == 1 {
 				if c := popCount(child); 2*c <= e.n {
-					poff, pred, _ := e.csr.Pred(n.Idx)
+					poff, pred, _ := e.csr.Pred(idx)
 					diamondPredInto(dst, poff, pred, child)
 					break
 				}
 			}
-			diamondInto(dst, off, succ, child, n.K)
+			diamondInto(dst, off, succ, child, x.k)
 		}
 		e.valid[i] = true
 	}

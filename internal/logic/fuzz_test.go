@@ -19,6 +19,12 @@ func FuzzParseFormula(f *testing.F) {
 		"[*,1] (q1 | <2,*>=2 q3)",
 		"!(<*,*> q1 & [1,1] false)",
 		"a_b2 | !true & <3,4> q9",
+		// Numbers beyond int32 must be rejected, not truncated.
+		"<1,1> true & !(<4294967297,1> true)",
+		"<*,*> true & !(<*,*>=4294967297 true)",
+		"<*,*>=4294967297 q4",
+		"<*,*>=2147483648 q1",
+		"<2147483647,2147483647>=2147483647 q1",
 	} {
 		f.Add(seed)
 	}

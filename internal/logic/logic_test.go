@@ -2,6 +2,7 @@ package logic
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"weakmodels/internal/graph"
@@ -73,6 +74,29 @@ func TestParseSurfaceForms(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestParseNumberLimit: grades and port indices are int32 in the
+// interned records, so the parser takes numbers up to math.MaxInt32
+// exactly and rejects larger ones with an error naming the limit.
+func TestParseNumberLimit(t *testing.T) {
+	f, err := Parse("<2147483647,1>=2147483647 q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := f.(Diamond); d.Idx.I != 2147483647 || d.K != 2147483647 {
+		t.Fatalf("parsed %+v", d)
+	}
+	for _, src := range []string{
+		"<2147483648,1> q1",
+		"<1,4294967297> q1",
+		"<*,*>=4294967297 q1",
+		"<*,*>=99999999999999999999 q1",
+	} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "limit 2147483647") {
+			t.Errorf("Parse(%q): err = %v, want the limit 2147483647", src, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"unicode"
 
@@ -236,9 +237,11 @@ func (p *fparser) number() (int, error) {
 	if start == p.pos {
 		return 0, p.errf("expected a number")
 	}
-	n, err := strconv.Atoi(p.src[start:p.pos])
+	// Grades and port indices are int32 in the interned records; a wider
+	// number is rejected here rather than aliasing a narrower one there.
+	n, err := strconv.ParseInt(p.src[start:p.pos], 10, 32)
 	if err != nil {
-		return 0, p.errf("bad number: %v", err)
+		return 0, p.errf("number %s exceeds the limit %d", p.src[start:p.pos], math.MaxInt32)
 	}
-	return n, nil
+	return int(n), nil
 }

@@ -17,6 +17,7 @@ var weakvetAllocTargets = []struct {
 	budget int
 }{
 	{"(*Evaluator).run", 0},
+	{"(*Interner).probe", 0},
 	{"andInto", 0},
 	{"diamondInto", 0},
 	{"diamondPredInto", 0},
